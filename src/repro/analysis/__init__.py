@@ -6,7 +6,7 @@ Two halves, one lock model:
   :mod:`.concurrency`, :mod:`.invariants`, :mod:`.lint_cli`): stdlib
   ``ast``/``symtable`` checkers for concurrency discipline (lock-order
   cycles, unlocked shared writes, daemon-less threads, blocking calls
-  under a lock) and repo invariants (pickle boundary, registry
+  under a lock) and repo invariants (no pickle, registry
   dispatch, mutable defaults, bare except, embedding dtype, npz
   ``format_version``), with linted ``# repro: allow[RULE] reason``
   suppressions;

@@ -1,10 +1,11 @@
-"""Repo-invariant rules: R301–R309.
+"""Repo-invariant rules: R301–R309 (R307 retired).
 
 These encode decisions this codebase has already made, so drift is
 caught at lint time instead of in review:
 
-* **R301** — pickle is a deserialization attack surface; the repo
-  confines it to the framed-RPC codec in ``repro/api/transport.py``.
+* **R301** — pickle is a deserialization attack surface: unpickling
+  peer bytes runs peer code.  No module under ``src/repro`` imports or
+  calls it; the wire speaks only the typed codec in ``repro.api.wire``.
 * **R302** — similarity methods and indexes are dispatched through the
   ``repro.api`` registries; a hand-rolled ``if name == "trajcl": ...``
   chain silently misses newly registered backends.
@@ -16,13 +17,6 @@ caught at lint time instead of in review:
   (PR 4) made embedding dtype part of the contract.
 * **R306** — every ``.npz`` artifact writer stamps ``format_version``
   so snapshots stay loadable across releases.
-* **R307** — numpy arrays cross the wire as ``dtype + shape + raw
-  buffer`` (see ``repro.api.wire``); ``pickle.dumps`` of an array-like
-  value re-introduces the serialization tax the binary codec removed.
-  Unlike R301 this fires *everywhere*, including ``transport.py`` — the
-  only exempt spots are functions whose name says ``fallback``, the
-  codec's audited escape hatch for objects the tag vocabulary cannot
-  express.
 * **R308** — a retry loop that sleeps a *constant* between attempts has
   no backoff: every retrier in a fleet wakes in lockstep and hammers
   the recovering peer (the serving stack's connect/retry paths all
@@ -48,15 +42,15 @@ from .core import Checker, FileContext, Finding, Rule, register_checker
 
 __all__ = [
     "RULE_R301", "RULE_R302", "RULE_R303",
-    "RULE_R304", "RULE_R305", "RULE_R306", "RULE_R307", "RULE_R308",
+    "RULE_R304", "RULE_R305", "RULE_R306", "RULE_R308",
     "RULE_R309",
 ]
 
 RULE_R301 = Rule(
     "R301", "error",
-    "pickle use outside repro/api/transport.py",
-    "route serialization through repro.api.transport (the one audited "
-    "pickle boundary) or use an explicit format (json, npz)",
+    "pickle import or call",
+    "use an explicit format: the repro.api.wire codec for frames, json "
+    "or npz (allow_pickle=False) for files",
 )
 RULE_R302 = Rule(
     "R302", "warning",
@@ -87,13 +81,6 @@ RULE_R306 = Rule(
     "include format_version in the saved mapping so the artifact can be "
     "validated on load",
 )
-RULE_R307 = Rule(
-    "R307", "warning",
-    "pickle.dumps of a numpy array outside the wire fallback path",
-    "encode arrays through repro.api.wire (typed tag + dtype + shape + "
-    "raw buffer); the pickle fallback exists only for objects the codec "
-    "cannot express, inside functions named *fallback*",
-)
 RULE_R308 = Rule(
     "R308", "warning",
     "constant time.sleep in a retry loop (no backoff)",
@@ -109,13 +96,9 @@ RULE_R309 = Rule(
     "inside ADC/int8/graph scan code",
 )
 
-#: modules where pickle use is by design
-_PICKLE_ALLOWED_MODULES = {"transport"}
-#: identifier fragments that mark a value as (probably) a numpy array
-_ARRAY_LIKE = re.compile(
-    r"(arr|array|ndarray|emb|matrix|vector|distanc|tensor)",
-    re.IGNORECASE,
-)
+#: modules whose loaders unpickle their input
+_PICKLE_MODULES = {"pickle", "_pickle", "cPickle", "cloudpickle", "dill",
+                   "shelve"}
 #: modules that legitimately compare backend/index names
 _DISPATCH_ALLOWED_MODULES = {"registry", "backends", "indexes", "service"}
 #: registered similarity backends + index kinds (see repro.api.registry)
@@ -146,41 +129,37 @@ def _attr_chain(node: ast.AST) -> str:
     return ".".join(reversed(parts))
 
 
+def _is_pickle_module(dotted: str) -> bool:
+    return dotted.split(".")[0] in _PICKLE_MODULES
+
+
 @register_checker
-class PickleBoundaryChecker(Checker):
-    """R301 — pickle stays inside the transport codec."""
+class PickleChecker(Checker):
+    """R301 — no pickle anywhere: imports, calls, ``allow_pickle=True``."""
 
     rules = (RULE_R301,)
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
-        if ctx.module_name in _PICKLE_ALLOWED_MODULES:
-            return ()
         findings: List[Finding] = []
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            chain = _attr_chain(node.func)
-            if chain in {
-                "pickle.load", "pickle.loads", "pickle.dump", "pickle.dumps",
-                "pickle.Unpickler", "pickle.Pickler", "cPickle.loads",
-                "cPickle.load",
-            }:
-                findings.append(ctx.finding(
-                    RULE_R301, node, f"{chain}(...) outside transport.py",
-                ))
-                continue
-            if chain.endswith("np.load") or chain == "numpy.load":
-                for kw in node.keywords:
-                    if (
-                        kw.arg == "allow_pickle"
-                        and isinstance(kw.value, ast.Constant)
-                        and kw.value.value is True
-                    ):
-                        findings.append(ctx.finding(
-                            RULE_R301, node,
-                            "np.load(..., allow_pickle=True) outside "
-                            "transport.py",
-                        ))
+            hits: List[str] = []
+            if isinstance(node, ast.Import):
+                hits = [f"import {alias.name}" for alias in node.names
+                        if _is_pickle_module(alias.name)]
+            elif isinstance(node, ast.ImportFrom):
+                if _is_pickle_module(node.module or ""):
+                    hits = [f"from {node.module} import ..."]
+            elif isinstance(node, ast.Call):
+                chain = _attr_chain(node.func)
+                if "." in chain and _is_pickle_module(chain):
+                    hits = [f"{chain}(...)"]
+                elif chain.endswith("np.load") or chain == "numpy.load":
+                    if any(kw.arg == "allow_pickle"
+                           and isinstance(kw.value, ast.Constant)
+                           and kw.value.value is True
+                           for kw in node.keywords):
+                        hits = ["np.load(..., allow_pickle=True)"]
+            findings.extend(ctx.finding(RULE_R301, node, hit) for hit in hits)
         return findings
 
 
@@ -324,55 +303,6 @@ class EmbeddingDtypeChecker(Checker):
                         f"the embedding dtype contract",
                     ))
         return findings
-
-
-@register_checker
-class ArrayPickleChecker(Checker):
-    """R307 — arrays serialized with pickle instead of the wire codec.
-
-    R301 draws the module boundary (pickle only in ``transport.py``);
-    R307 polices *what* gets pickled inside it: an ndarray through
-    ``pickle.dumps`` pays header-parsing and copy costs the typed codec
-    was built to remove, so even the allowed module must route arrays
-    through ``repro.api.wire`` and keep pickle to the ``*fallback*``
-    escape hatch.
-    """
-
-    rules = (RULE_R307,)
-
-    def check_file(self, ctx: FileContext) -> Iterable[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            chain = _attr_chain(node.func)
-            if chain not in {"pickle.dumps", "pickle.dump"}:
-                continue
-            if not node.args or not self._array_like(node.args[0]):
-                continue
-            scope = ctx.enclosing(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            if scope is not None and "fallback" in scope.name.lower():
-                continue  # the codec's audited escape hatch
-            findings.append(ctx.finding(
-                RULE_R307, node,
-                f"{chain}(...) of an array-like value; the wire codec "
-                f"sends arrays as dtype+shape+buffer — pickle belongs "
-                f"only in the fallback path",
-            ))
-        return findings
-
-    @staticmethod
-    def _array_like(arg: ast.AST) -> bool:
-        if isinstance(arg, (ast.Name, ast.Attribute)):
-            return bool(_ARRAY_LIKE.search(_attr_chain(arg)))
-        if isinstance(arg, ast.Call):
-            chain = _attr_chain(arg.func)
-            return (
-                chain.startswith(("np.", "numpy."))
-                or bool(_ARRAY_LIKE.search(chain))
-            )
-        return False
 
 
 @register_checker

@@ -86,7 +86,12 @@ from .chaos import ChaosConfig, ChaosTransport
 from .protocols import SimilarityBackend, as_backend
 from .indexes import index_is_exact
 from .registry import get_backend
-from .remote import ThreadedNodeServer, install_signal_shutdown, parse_address
+from .remote import (
+    ThreadedNodeServer,
+    install_signal_shutdown,
+    parse_address,
+    write_ready_file,
+)
 from .service import SimilarityService, _default_index_for
 from .serving import (
     ShardLostError,
@@ -103,7 +108,6 @@ from .transport import (
     TransportError,
     merge_transport_stats,
     request,
-    resolve_wire_format,
 )
 
 __all__ = ["ShardWorker", "ClusterCoordinator", "run_worker",
@@ -144,12 +148,12 @@ class ShardWorker(ThreadedNodeServer):
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 backlog: int = 16, wire_format: Optional[str] = None):
+                 backlog: int = 16):
         self._lock = threading.Lock()
         self._services: Dict[int, SimilarityService] = {}
         self._recipe: Optional[Dict] = None
         self._worker_id: Optional[str] = None
-        super().__init__(host, port, backlog=backlog, wire_format=wire_format)
+        super().__init__(host, port, backlog=backlog)
 
     def _thread_name(self) -> str:
         return f"repro-shard-worker:{self.address[1]}"
@@ -327,22 +331,17 @@ class ShardWorker(ThreadedNodeServer):
 
 
 def run_worker(host: str = "127.0.0.1", port: int = 0,
-               ready_file: Optional[str] = None,
-               wire_format: Optional[str] = None) -> int:
+               ready_file: Optional[str] = None) -> int:
     """Boot a :class:`ShardWorker` and serve until shutdown (the CLI body)."""
-    worker = ShardWorker(host, port, wire_format=wire_format)
+    worker = ShardWorker(host, port)
     # SIGTERM runs the same graceful shutdown as Ctrl-C / a coordinator's
     # shutdown command, so launcher teardown never needs terminate→kill.
     install_signal_shutdown(worker.shutdown)
     bound_host, bound_port = worker.address
     print(f"cluster worker listening on {bound_host}:{bound_port}",
           flush=True)
-    if ready_file:
-        # Written only after the port is bound: launchers poll this file
-        # instead of racing the bind (off-machine callers rely on the
-        # coordinator's connect retries instead).
-        with open(ready_file, "w") as handle:
-            handle.write(f"{bound_host}:{bound_port}\n")
+    # Off-machine callers rely on the coordinator's connect retries.
+    write_ready_file(ready_file, worker.address)
     try:
         worker.serve_forever()
     except KeyboardInterrupt:
@@ -425,7 +424,6 @@ class ClusterCoordinator(ShardMergeMixin):
         connect_retries: int = 5,
         retry_wait: float = 0.1,
         shutdown_workers_on_close: bool = False,
-        wire_format: Optional[str] = None,
         chaos: Union[ChaosConfig, str, None] = None,
         catchup_limit: int = 4096,
         rereplicate: bool = True,
@@ -457,7 +455,6 @@ class ClusterCoordinator(ShardMergeMixin):
         self._cache_size = int(cache_size)
         self.heartbeat_interval = float(heartbeat_interval or 0.0)
         self.heartbeat_timeout = float(heartbeat_timeout)
-        self._wire_format = resolve_wire_format(wire_format)
         self.shutdown_workers_on_close = bool(shutdown_workers_on_close)
         self.replication = replication
         self._connect_retries = int(connect_retries)
@@ -517,7 +514,7 @@ class ClusterCoordinator(ShardMergeMixin):
     def _new_transport(self, address: Tuple[str, int]):
         transport = SocketTransport.connect(
             *address, retries=self._connect_retries,
-            retry_wait=self._connect_wait, wire_format=self._wire_format)
+            retry_wait=self._connect_wait)
         if self._chaos is not None and self._chaos.active:
             # Distinct per-connection seed: the fault schedules of
             # different links are decorrelated but still reproducible.
@@ -1178,7 +1175,6 @@ class ClusterCoordinator(ShardMergeMixin):
             "shard_sizes": shard_sizes,
             "shards": shards,
             "worker_links": worker_links,
-            "wire_format": self._wire_format,
             "transport": transport_stats,
             "cache": merge_cache_counters(
                 [entry["cache"] for entry in worker_links
@@ -1376,8 +1372,7 @@ class ClusterCoordinator(ShardMergeMixin):
             # connection attempt.
             try:
                 transport = SocketTransport.connect(
-                    *link.address, timeout=1.0,
-                    wire_format=self._wire_format)
+                    *link.address, timeout=1.0)
             except (TransportError, OSError):
                 return
             link.transport = transport  # closed by close()'s sweep

@@ -1,6 +1,6 @@
 """The production edge: an HTTP/JSON gateway over any kNN service.
 
-Non-Python clients cannot speak the pickle frame protocol of
+Non-Python clients cannot speak the binary frame protocol of
 :mod:`repro.api.transport`; this module gives the serving stack an
 HTTP/1.1 front door with the traffic machinery heavy load needs. It is
 stdlib-only (:mod:`http.server` with one thread per connection) and wraps
@@ -60,10 +60,10 @@ or from the shell: ``python -m repro serve-http --data city.npz
 from __future__ import annotations
 
 import json
+import logging
 import math
 import threading
 import time
-import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
@@ -71,6 +71,8 @@ import numpy as np
 
 from .serving import DeadlineExceededError, QueueFullError, ShardLostError
 from .transport import TransportError
+
+logger = logging.getLogger("repro.api.gateway")
 
 __all__ = [
     "SimilarityGateway",
@@ -457,9 +459,10 @@ class SimilarityGateway:
                 {"error": f"shard unavailable: {error}"}).encode()
             content_type, headers = "application/json", {"Retry-After": "1"}
         except Exception:
+            # The traceback is for the operator's log, never the client.
+            logger.exception("%s %s failed", method, path)
             status = 500
-            body = json.dumps(
-                {"error": traceback.format_exc(limit=8)}).encode()
+            body = json.dumps({"error": "internal error"}).encode()
             content_type, headers = "application/json", {}
         # Account before the reply bytes leave: a client that fires a
         # follow-up /stats the instant it reads this response must already

@@ -15,9 +15,10 @@ Three pieces, all speaking the :mod:`repro.api.transport` frame protocol:
   asyncio streams, byte-compatible with the threaded server, so
   notebook and event-loop callers stop blocking threads.
 
-Round-tripping through the server is loss-free: requests and replies are
-pickled numpy arrays, so a remote ``knn`` returns bit-identical
-``(distances, ids)`` to the wrapped service. Quickstart::
+Round-tripping through the server is loss-free: arrays travel as raw
+dtype + shape + buffer (:mod:`repro.api.wire`), so a remote ``knn``
+returns bit-identical ``(distances, ids)`` to the wrapped service.
+Quickstart::
 
     from repro.api import (SimilarityService, SimilarityServer,
                            RemoteSimilarityClient)
@@ -30,6 +31,7 @@ pickled numpy arrays, so a remote ``knn`` returns bit-identical
 
 from __future__ import annotations
 
+import os
 import random
 import socket
 import threading
@@ -64,6 +66,7 @@ __all__ = [
     "AsyncSimilarityClient",
     "parse_address",
     "install_signal_shutdown",
+    "write_ready_file",
 ]
 
 
@@ -84,6 +87,22 @@ def install_signal_shutdown(callback, signals=("SIGTERM",)) -> bool:
         if signum is not None:
             signal.signal(signum, lambda _signum, _frame: callback())
     return True
+
+
+def write_ready_file(path: Optional[str], address: Tuple[str, int]) -> None:
+    """Publish ``host:port`` to *path* (no-op when *path* is empty).
+
+    Called only after the port is bound: launchers (tests, the smoke
+    scripts) poll this file instead of racing the bind.  The text goes
+    to a temporary file that is then renamed over *path*, so a poller
+    that sees the file always reads the whole address.
+    """
+    if not path:
+        return
+    temporary = f"{path}.{os.getpid()}.tmp"
+    with open(temporary, "w") as handle:
+        handle.write(f"{address[0]}:{address[1]}\n")
+    os.replace(temporary, path)
 
 
 def parse_address(address: Union[str, Tuple[str, int]],
@@ -120,10 +139,9 @@ class ThreadedNodeServer:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 backlog: int = 32, wire_format: Optional[str] = None):
+                 backlog: int = 32):
         # The flag exists before the accept thread does, so close() can
         # never race a half-built server.
-        self._wire_format = wire_format
         self._shutdown = threading.Event()
         self._connections: List[SocketTransport] = []
         self._connection_threads: List[threading.Thread] = []
@@ -176,7 +194,7 @@ class ThreadedNodeServer:
             ]
             self._connections = [transport for transport, _ in alive]
             self._connection_threads = [thread for _, thread in alive]
-            transport = SocketTransport(sock, wire_format=self._wire_format)
+            transport = SocketTransport(sock)
             thread = threading.Thread(target=self._serve_connection,
                                       args=(transport,), daemon=True)
             self._connections.append(transport)
@@ -262,15 +280,13 @@ class SimilarityServer(ThreadedNodeServer):
         *,
         backlog: int = 32,
         max_requests: Optional[int] = None,
-        wire_format: Optional[str] = None,
     ):
         self.service = service
         self._lock = threading.Lock()
         self._count_lock = threading.Lock()
         self._request_count = 0
         self._max_requests = max_requests
-        super().__init__(host, port, backlog=backlog,
-                         wire_format=wire_format)
+        super().__init__(host, port, backlog=backlog)
 
     def _thread_name(self) -> str:
         return f"repro-similarity-server:{self.address[1]}"
@@ -409,13 +425,11 @@ class RemoteSimilarityClient:
     def __init__(self, address: Union[str, Tuple[str, int]],
                  port: Optional[int] = None, *,
                  timeout: Optional[float] = None,
-                 connect_retries: int = 3, retry_wait: float = 0.1,
-                 wire_format: Optional[str] = None):
+                 connect_retries: int = 3, retry_wait: float = 0.1):
         self.address = parse_address(address, port)
         self._lock = threading.Lock()
         self._timeout = timeout
         self._retry_wait = float(retry_wait)
-        self._wire_format = wire_format
         self._retries = 0
         # Bounded connect retry with backoff: a client launched alongside
         # the server no longer races its bind (a --ready-file only helps
@@ -423,8 +437,7 @@ class RemoteSimilarityClient:
         self._transport = SocketTransport.connect(*self.address,
                                                   timeout=timeout,
                                                   retries=connect_retries,
-                                                  retry_wait=retry_wait,
-                                                  wire_format=wire_format)
+                                                  retry_wait=retry_wait)
         self._closed = False
 
     def transport_stats(self) -> Dict:
@@ -455,8 +468,7 @@ class RemoteSimilarityClient:
                 # reconnect in lockstep against a restarting server.
                 time.sleep(self._retry_wait * (1.0 + random.random()))  # repro: allow[C204] single bounded backoff before the one retry; the client lock serializes whole exchanges by design
                 self._transport = SocketTransport.connect(
-                    *self.address, timeout=self._timeout,
-                    wire_format=self._wire_format)
+                    *self.address, timeout=self._timeout)
                 # repro: allow[C204] the one retry of the exchange above, same single-exchange discipline
                 return request(self._transport, command, payload, who=who)
 
@@ -553,25 +565,22 @@ class AsyncSimilarityClient:
     them); open several clients for true fan-out.
     """
 
-    def __init__(self, reader, writer, address: Tuple[str, int], *,
-                 wire_format: Optional[str] = None):
+    def __init__(self, reader, writer, address: Tuple[str, int]):
         self._reader = reader
         self._writer = writer
         self.address = address
-        self._wire_format = wire_format
         self._lock = None  # created lazily on the running loop
         self._closed = False
 
     @classmethod
     async def connect(cls, address: Union[str, Tuple[str, int]],
-                      port: Optional[int] = None, *,
-                      wire_format: Optional[str] = None,
+                      port: Optional[int] = None,
                       ) -> "AsyncSimilarityClient":
         import asyncio
 
         host, port = parse_address(address, port)
         reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer, (host, port), wire_format=wire_format)
+        return cls(reader, writer, (host, port))
 
     async def _call(self, command: str, payload=None):
         import asyncio
@@ -581,8 +590,7 @@ class AsyncSimilarityClient:
         if self._lock is None:
             self._lock = asyncio.Lock()
         async with self._lock:
-            self._writer.write(
-                encode_frame((command, payload), self._wire_format))
+            self._writer.write(encode_frame((command, payload)))
             await self._writer.drain()
             header = await self._reader.readexactly(FRAME_HEADER.size)
             body = await self._reader.readexactly(frame_length(header))
@@ -632,8 +640,7 @@ class AsyncSimilarityClient:
             return
         self._closed = True
         try:
-            self._writer.write(encode_frame(("stop", None),
-                                            self._wire_format))
+            self._writer.write(encode_frame(("stop", None)))
             await self._writer.drain()
         except (ConnectionError, OSError):
             pass

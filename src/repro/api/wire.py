@@ -1,7 +1,7 @@
 """Typed binary wire codec for the serving stack's framed RPC.
 
-Replaces pickle as the frame payload between serving peers.  A payload
-is a one-byte format version followed by a tagged value tree::
+The only frame payload format between serving peers.  A payload is a
+one-byte format version followed by a tagged value tree::
 
     +---------+-----------------------------------------------------+
     | version | tagged value                                        |
@@ -27,24 +27,17 @@ Tags (one ASCII byte each):
 ``x``     numpy scalar: u8 dtype-str length + dtype-str + item bytes
 ``M``     shared-memory ndarray: u8 name length + segment name +
           u8 dtype-str length + dtype-str + u8 ndim + u64 x ndim shape
-``P``     pickle fallback: u64 length + opaque blob
 ========  ============================================================
 
-Version negotiation rides on the first payload byte: pickle payloads at
-protocol >= 2 always start with ``0x80`` (the pickle ``PROTO`` opcode),
-so :func:`repro.api.transport.decode_payload` sniffs byte 0 — ``0x80``
-means a legacy pickle peer, :data:`WIRE_VERSION` means this codec, and
-anything else is a malformed frame.  Old and new peers therefore
-interoperate without a handshake.
+A payload whose first byte is not :data:`WIRE_VERSION` is malformed.
+Values with no tag (sets, object or structured arrays, arbitrary
+objects) raise :class:`WireError` on encode; decoding builds only the
+values above, so bytes from a peer can be rejected but never run code.
+Containers nest at most :data:`MAX_DEPTH` deep.
 
 Arrays are encoded from a C-contiguous ``memoryview`` (no intermediate
 ``tobytes`` copy for contiguous native-order input) and decoded as
-zero-copy ``np.frombuffer`` views over the received payload.  Arrays
-whose dtype carries Python objects or structured fields travel through
-the pickle fallback.  This module itself never imports :mod:`pickle`
-(rule R301 confines pickle to ``transport.py``): the fallback
-encoder/decoder pair is injected by :func:`register_fallback` when
-:mod:`repro.api.transport` is imported.
+zero-copy ``np.frombuffer`` views over the received payload.
 
 Shared memory: an :class:`ShmPool` attached to the sending side moves
 large arrays through ``multiprocessing.shared_memory`` segments so the
@@ -57,34 +50,42 @@ arrives).  Unlinking while the receiver still maps the segment is safe
 on POSIX: the memory persists until the last mapping closes, which the
 receiver does via a ``weakref.finalize`` hook on the decoded view.
 Segments are named ``repro_wire_<pid>_<seq>`` so smoke tests can assert
-``/dev/shm`` holds no litter after a run.
+``/dev/shm`` holds no litter after a run.  Only a receiver that passes
+``allow_shm=True`` (a pipe endpoint inside one process tree) accepts tag
+``M``; a socket peer naming a segment is refused.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import re
 import struct
 import threading
 import weakref
-from typing import Any, Callable, List, Optional
+from typing import Any, List, Optional
 
 import numpy as np
 from multiprocessing import shared_memory
 
 __all__ = [
     "WIRE_VERSION",
+    "MAX_DEPTH",
     "WireError",
     "ShmPool",
     "SHM_NAME_PREFIX",
     "DEFAULT_SHM_THRESHOLD",
     "encode",
     "decode",
-    "register_fallback",
 ]
 
 #: first byte of every payload produced by :func:`encode`
 WIRE_VERSION = 0x01
+
+#: deepest container nesting :func:`decode` accepts (production
+#: messages nest three or four levels; the cap keeps a hostile payload
+#: from exhausting the interpreter stack)
+MAX_DEPTH = 64
 
 #: shared-memory segments are named ``<prefix>_<pid>_<seq>``
 SHM_NAME_PREFIX = "repro_wire"
@@ -112,7 +113,6 @@ _TAG_DICT = b"d"
 _TAG_ARRAY = b"a"
 _TAG_SCALAR = b"x"
 _TAG_SHM = b"M"
-_TAG_PICKLE = b"P"
 
 _U8 = struct.Struct(">B")
 _U32 = struct.Struct(">I")
@@ -120,38 +120,13 @@ _U64 = struct.Struct(">Q")
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 
+#: the shapes ``dtype.str`` takes for a plain dtype (``<f8``, ``|b1``,
+#: ``<M8[ns]``); any other text is refused before it reaches ``np.dtype``,
+#: whose comma syntax runs a Python-literal parser
+_DTYPE_TEXT = re.compile(rb"[<>|][biufcmMSU][0-9]{1,9}(\[[0-9A-Za-z]+\])?")
+
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
-
-# ---------------------------------------------------------------------------
-# pickle fallback injection (keeps this module pickle-free for R301)
-
-_FALLBACK_ENCODE: Optional[Callable[[Any], bytes]] = None
-_FALLBACK_DECODE: Optional[Callable[[bytes], Any]] = None
-
-
-def register_fallback(
-    encode_fn: Callable[[Any], bytes],
-    decode_fn: Callable[[bytes], Any],
-) -> None:
-    """Install the opaque-object fallback codec (tag ``P``).
-
-    Called by :mod:`repro.api.transport` at import time with a
-    pickle-backed pair; :mod:`wire` itself stays pickle-free.
-    """
-    global _FALLBACK_ENCODE, _FALLBACK_DECODE
-    _FALLBACK_ENCODE = encode_fn
-    _FALLBACK_DECODE = decode_fn
-
-
-def _require_fallback() -> None:
-    if _FALLBACK_ENCODE is None or _FALLBACK_DECODE is None:
-        # transport registers the pickle fallback on import; pulling it
-        # in lazily keeps `import repro.api.wire` standalone-usable.
-        from . import transport  # noqa: F401  (import for side effect)
-    if _FALLBACK_ENCODE is None or _FALLBACK_DECODE is None:
-        raise WireError("no fallback codec registered for opaque objects")
-
 
 # ---------------------------------------------------------------------------
 # shared-memory pool (sender side)
@@ -342,12 +317,8 @@ def _encode_array(array: np.ndarray, out: List[Any], pool: Optional[ShmPool]) ->
     out.append(_array_body(array))
 
 
-def _encode_fallback(value: Any, out: List[Any]) -> None:
-    _require_fallback()
-    blob = _FALLBACK_ENCODE(value)
-    out.append(_TAG_PICKLE)
-    out.append(_U64.pack(len(blob)))
-    out.append(blob)
+def _unencodable(value: Any) -> WireError:
+    return WireError(f"no wire encoding for {type(value).__name__} values")
 
 
 def _encode_value(value: Any, out: List[Any], pool: Optional[ShmPool]) -> None:
@@ -356,20 +327,19 @@ def _encode_value(value: Any, out: List[Any], pool: Optional[ShmPool]) -> None:
     if value is None:
         out.append(_TAG_NONE)
     elif isinstance(value, np.ndarray):
-        if _plain_dtype(value.dtype):
-            _encode_array(value, out, pool)
-        else:
-            _encode_fallback(value, out)
+        if not _plain_dtype(value.dtype):
+            raise WireError(
+                f"no wire encoding for arrays of dtype {value.dtype}")
+        _encode_array(value, out, pool)
     elif isinstance(value, np.generic):
         dtype = np.dtype(type(value))
-        if _plain_dtype(dtype) and dtype.kind not in "OUS":
-            dtype_str = _dtype_wire_str(dtype)
-            out.append(_TAG_SCALAR)
-            out.append(_U8.pack(len(dtype_str)))
-            out.append(dtype_str)
-            out.append(value.tobytes())
-        else:
-            _encode_fallback(value, out)
+        if not _plain_dtype(dtype) or dtype.kind in "OUS":
+            raise _unencodable(value)
+        dtype_str = _dtype_wire_str(dtype)
+        out.append(_TAG_SCALAR)
+        out.append(_U8.pack(len(dtype_str)))
+        out.append(dtype_str)
+        out.append(value.tobytes())
     elif value is True:
         out.append(_TAG_TRUE)
     elif value is False:
@@ -414,7 +384,7 @@ def _encode_value(value: Any, out: List[Any], pool: Optional[ShmPool]) -> None:
             _encode_value(key, out, pool)
             _encode_value(item, out, pool)
     else:
-        _encode_fallback(value, out)
+        raise _unencodable(value)
 
 
 def encode(message: Any, pool: Optional[ShmPool] = None) -> bytes:
@@ -423,6 +393,7 @@ def encode(message: Any, pool: Optional[ShmPool] = None) -> bytes:
     With *pool*, arrays at or above the pool threshold are copied into
     shared-memory segments and only referenced in the payload; the
     caller owns releasing the pool once the peer has consumed them.
+    Raises :class:`WireError` for a value the codec has no tag for.
     """
     out: List[Any] = [_U8.pack(WIRE_VERSION)]
     _encode_value(message, out, pool)
@@ -464,11 +435,13 @@ class _Reader:
 def _read_dtype(reader: _Reader) -> np.dtype:
     length = reader.u8()
     text = bytes(reader.take(length))
+    if not _DTYPE_TEXT.fullmatch(text):
+        raise WireError(f"bad dtype in payload: {text!r}")
     try:
         dtype = np.dtype(text.decode("ascii"))
-    except (TypeError, ValueError, UnicodeDecodeError) as exc:
+    except (TypeError, ValueError) as exc:
         raise WireError(f"bad dtype in payload: {text!r}") from exc
-    if not _plain_dtype(dtype):
+    if not _plain_dtype(dtype) or dtype.itemsize == 0:
         raise WireError(f"refusing non-plain wire dtype {dtype!r}")
     return dtype
 
@@ -480,34 +453,47 @@ def _read_shape(reader: _Reader) -> tuple:
     return tuple(reader.u64() for _ in range(ndim))
 
 
+def _element_count(shape: tuple) -> int:
+    count = 1
+    for dim in shape:
+        count *= dim
+    return count
+
+
+def _array_view(buffer, dtype: np.dtype, count: int,
+                shape: tuple) -> np.ndarray:
+    try:
+        return np.frombuffer(buffer, dtype=dtype, count=count).reshape(shape)
+    except (ValueError, OverflowError) as exc:  # e.g. (0, 2**63)
+        raise WireError(f"array of shape {shape} does not fit") from exc
+
+
 def _decode_array(reader: _Reader) -> np.ndarray:
     dtype = _read_dtype(reader)
     shape = _read_shape(reader)
     nbytes = reader.u64()
-    count = 1
-    for dim in shape:
-        count *= dim
+    count = _element_count(shape)
     if nbytes != count * dtype.itemsize:
         raise WireError(
             f"array body of {nbytes} bytes does not match shape "
             f"{shape} of dtype {dtype}"
         )
-    body = reader.take(nbytes)
     # zero-copy: the view aliases the received payload buffer
-    return np.frombuffer(body, dtype=dtype, count=count).reshape(shape)
+    return _array_view(reader.take(nbytes), dtype, count, shape)
 
 
 def _decode_shm(reader: _Reader) -> np.ndarray:
     name_len = reader.u8()
-    name = bytes(reader.take(name_len)).decode("ascii")
+    try:
+        name = bytes(reader.take(name_len)).decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise WireError("undecodable segment name in payload") from exc
     dtype = _read_dtype(reader)
     shape = _read_shape(reader)
-    count = 1
-    for dim in shape:
-        count *= dim
+    count = _element_count(shape)
     try:
         shm = _attach_segment(name)
-    except (FileNotFoundError, OSError) as exc:
+    except (OSError, ValueError) as exc:
         raise WireError(f"shared-memory segment {name!r} unavailable") from exc
     if count * dtype.itemsize > len(shm.buf):
         _close_attachment(shm)
@@ -515,13 +501,17 @@ def _decode_shm(reader: _Reader) -> np.ndarray:
             f"segment {name!r} holds {len(shm.buf)} bytes, payload "
             f"claims shape {shape} of dtype {dtype}"
         )
-    array = np.frombuffer(shm.buf, dtype=dtype, count=count).reshape(shape)
+    try:
+        array = _array_view(shm.buf, dtype, count, shape)
+    except WireError:
+        _close_attachment(shm)
+        raise
     # the receiver's mapping lives exactly as long as the decoded view
     weakref.finalize(array, _on_view_dead, shm)
     return array
 
 
-def _decode_value(reader: _Reader) -> Any:
+def _decode_value(reader: _Reader, depth: int, allow_shm: bool) -> Any:
     tag = bytes(reader.take(1))
     if tag == _TAG_NONE:
         return None
@@ -542,45 +532,57 @@ def _decode_value(reader: _Reader) -> Any:
             raise WireError("undecodable string in payload") from exc
     if tag == _TAG_BYTES:
         return bytes(reader.take(reader.u64()))
-    if tag == _TAG_LIST:
-        return [_decode_value(reader) for _ in range(reader.u32())]
-    if tag == _TAG_TUPLE:
-        return tuple(_decode_value(reader) for _ in range(reader.u32()))
-    if tag == _TAG_DICT:
+    if tag in (_TAG_LIST, _TAG_TUPLE, _TAG_DICT):
+        if depth >= MAX_DEPTH:
+            raise WireError(f"containers nested deeper than {MAX_DEPTH}")
+        depth += 1
         count = reader.u32()
+        if tag == _TAG_LIST:
+            return [_decode_value(reader, depth, allow_shm)
+                    for _ in range(count)]
+        if tag == _TAG_TUPLE:
+            return tuple(_decode_value(reader, depth, allow_shm)
+                         for _ in range(count))
         result = {}
         for _ in range(count):
-            key = _decode_value(reader)
-            result[key] = _decode_value(reader)
+            key = _decode_value(reader, depth, allow_shm)
+            value = _decode_value(reader, depth, allow_shm)
+            try:
+                result[key] = value
+            except TypeError as exc:
+                raise WireError(f"unhashable dict key: {exc}") from exc
         return result
     if tag == _TAG_ARRAY:
         return _decode_array(reader)
     if tag == _TAG_SHM:
+        if not allow_shm:
+            raise WireError("shared-memory arrays are not accepted here")
         return _decode_shm(reader)
     if tag == _TAG_SCALAR:
         dtype = _read_dtype(reader)
         body = reader.take(dtype.itemsize)
         return np.frombuffer(body, dtype=dtype, count=1)[0]
-    if tag == _TAG_PICKLE:
-        _require_fallback()
-        blob = bytes(reader.take(reader.u64()))
-        return _FALLBACK_DECODE(blob)
     raise WireError(f"unknown wire tag {tag!r}")
 
 
-def decode(payload) -> Any:
+def decode(payload, *, allow_shm: bool = False) -> Any:
     """Decode a payload produced by :func:`encode`.
 
     Raises :class:`WireError` on any malformed input — a short body is
     caught by bounds checks before it could reach ``np.frombuffer``.
+    Shared-memory references (tag ``M``) decode only with *allow_shm*;
+    the receiving transport decides, since only a pipe inside one
+    process tree can name a segment its sender owns.
     """
     _sweep_attachments()
     view = memoryview(payload)
+    if not len(view):
+        raise WireError("empty payload")
     reader = _Reader(view)
     version = reader.u8()
     if version != WIRE_VERSION:
         raise WireError(f"unsupported wire version {version:#04x}")
-    value = _decode_value(reader)
+    value = _decode_value(reader, 0, allow_shm)
     if reader.pos != reader.end:
         raise WireError(
             f"{reader.end - reader.pos} trailing bytes after payload"

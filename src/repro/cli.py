@@ -354,7 +354,7 @@ def cmd_serve(args) -> int:
         QueryQueue, ShardedSimilarityService, SimilarityServer,
         SimilarityService,
     )
-    from .api.remote import install_signal_shutdown
+    from .api.remote import install_signal_shutdown, write_ready_file
 
     database = _load_trajectories(args.data)
     backend = _resolve_backend(args.backend, args, database)
@@ -385,11 +385,7 @@ def cmd_serve(args) -> int:
         print(f"serving backend {backend.name} "
               f"({len(database)} trajectories) on {host}:{port}",
               flush=True)
-        if args.ready_file:
-            # Written only after the port is bound: a launcher (tests,
-            # `make serve-smoke`) polls this file instead of racing accept.
-            with open(args.ready_file, "w") as handle:
-                handle.write(f"{host}:{port}\n")
+        write_ready_file(args.ready_file, server.address)
         try:
             server.serve_forever()
         except KeyboardInterrupt:
@@ -411,7 +407,7 @@ def cmd_serve_http(args) -> int:
         SimilarityService,
     )
     from .api.gateway import SimilarityGateway
-    from .api.remote import install_signal_shutdown
+    from .api.remote import install_signal_shutdown, write_ready_file
 
     service = None
     client = None
@@ -420,7 +416,7 @@ def cmd_serve_http(args) -> int:
     try:
         if getattr(args, "remote", None):
             # Front a running `serve` or `cluster` instance: the gateway
-            # translates HTTP/JSON onto the pickle-frame wire protocol.
+            # translates HTTP/JSON onto the binary frame protocol.
             base = client = RemoteSimilarityClient(args.remote)
             label = f"remote service {args.remote} ({len(client)} trajectories)"
         else:
@@ -461,11 +457,7 @@ def cmd_serve_http(args) -> int:
         install_signal_shutdown(gateway.shutdown)
         host, port = gateway.address
         print(f"http gateway: {label} on http://{host}:{port}", flush=True)
-        if args.ready_file:
-            # Written only after the port is bound: a launcher (tests,
-            # `make http-smoke`) polls this file instead of racing accept.
-            with open(args.ready_file, "w") as handle:
-                handle.write(f"{host}:{port}\n")
+        write_ready_file(args.ready_file, gateway.address)
         try:
             gateway.serve_forever()
         except KeyboardInterrupt:
@@ -493,7 +485,7 @@ def cmd_cluster(args) -> int:
     """Front a worker cluster with a TCP server (``repro cluster``)."""
     from .api import QueryQueue, SimilarityServer
     from .api.cluster import ClusterCoordinator
-    from .api.remote import install_signal_shutdown
+    from .api.remote import install_signal_shutdown, write_ready_file
 
     database = _load_trajectories(args.data)
     backend = _resolve_backend(args.backend, args, database)
@@ -526,9 +518,7 @@ def cmd_cluster(args) -> int:
               f"{len(database)} trajectories over {len(workers)} "
               f"worker(s) (replication={args.replication}{chaos_note}), "
               f"serving on {host}:{port}", flush=True)
-        if args.ready_file:
-            with open(args.ready_file, "w") as handle:
-                handle.write(f"{host}:{port}\n")
+        write_ready_file(args.ready_file, server.address)
         try:
             server.serve_forever()
         except KeyboardInterrupt:
@@ -567,8 +557,7 @@ def _bench_in_process(args, backend, database, queries) -> dict:
             service = ShardedSimilarityService(backend=backend,
                                                index=index,
                                                index_kwargs=index_kwargs,
-                                               num_workers=workers,
-                                               wire_format=args.wire_format)
+                                               num_workers=workers)
         else:
             service = SimilarityService(backend=backend, index=index,
                                         index_kwargs=index_kwargs)
@@ -634,9 +623,8 @@ def _bench_remote(args, backend, database, queries) -> dict:
     service = SimilarityService(backend=backend, index=index,
                                 index_kwargs=index_kwargs).add(database)
     service.knn(queries, k=args.k)  # warm the cache like the other modes
-    with SimilarityServer(service, wire_format=args.wire_format) as server:
-        with RemoteSimilarityClient(*server.address,
-                                    wire_format=args.wire_format) as client:
+    with SimilarityServer(service) as server:
+        with RemoteSimilarityClient(*server.address) as client:
             client.knn(queries[0], k=args.k)  # connection warm-up
             latencies = []
             start = time.perf_counter()
@@ -682,9 +670,8 @@ def _bench_async(args, backend, database, queries) -> dict:
         latencies.append(time.perf_counter() - t0)
 
     async def run(address):
-        clients = [await AsyncSimilarityClient.connect(
-            address, wire_format=args.wire_format)
-            for _ in range(connections)]
+        clients = [await AsyncSimilarityClient.connect(address)
+                   for _ in range(connections)]
         await clients[0].knn(queries[0], k=args.k)  # warm-up round-trip
         start = time.perf_counter()
         for _ in range(args.repeats):
@@ -697,7 +684,7 @@ def _bench_async(args, backend, database, queries) -> dict:
             await client.close()
         return args.repeats * len(queries) / elapsed
 
-    with SimilarityServer(service, wire_format=args.wire_format) as server:
+    with SimilarityServer(service) as server:
         qps = asyncio.run(run(server.address))
     return {"results": {"qps": round(qps, 2), "connections": connections,
                         "latency_ms": _latency_summary(latencies)}}
@@ -708,13 +695,11 @@ def _bench_cluster(args, backend, database, queries) -> dict:
     from .api.cluster import ClusterCoordinator, ShardWorker
 
     index, index_kwargs = _index_from_args(args)
-    workers = [ShardWorker(wire_format=args.wire_format)
-               for _ in range(max(1, args.cluster_workers))]
+    workers = [ShardWorker() for _ in range(max(1, args.cluster_workers))]
     try:
         with ClusterCoordinator([w.address for w in workers],
                                 backend=backend,
                                 index=index, index_kwargs=index_kwargs,
-                                wire_format=args.wire_format,
                                 heartbeat_interval=0) as cluster:
             cluster.add(database)
             cluster.knn(queries, k=args.k)  # warm every shard
@@ -834,8 +819,7 @@ def _bench_large_db(args, backend, database, queries) -> dict:
             service = ShardedSimilarityService(backend=backend,
                                                index=index,
                                                index_kwargs=index_kwargs,
-                                               num_workers=workers,
-                                               wire_format=args.wire_format)
+                                               num_workers=workers)
         else:
             service = SimilarityService(backend=backend, index=index,
                                         index_kwargs=index_kwargs)
@@ -932,7 +916,6 @@ def cmd_serve_bench(args) -> int:
         "repeats": args.repeats,
         "max_batch": args.max_batch,
         "batch_wait": args.batch_wait,
-        "wire_format": args.wire_format,
         "index": bench_index or "auto",
     }
     if bench_index_kwargs:
@@ -993,8 +976,7 @@ def cmd_serve_bench(args) -> int:
             label = ("single process" if row["workers"] == 1
                      else f"{row['workers']} sharded workers")
             print(f"large_db ({record['db_size']} trajectories, "
-                  f"dim {record.get('embedding_dim')}, "
-                  f"{args.wire_format}): {label} "
+                  f"dim {record.get('embedding_dim')}): {label} "
                   f"{row['unbatched_qps']} q/s unbatched")
     if args.output:
         print(f"written to {args.output}")
@@ -1278,11 +1260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db-size", type=int, default=50000,
                    help="database size of the large_db scenario (the scale "
                         "where sharding must beat a single process)")
-    p.add_argument("--wire-format", choices=["binary", "pickle"],
-                   default="binary",
-                   help="frame payload codec for every transport-crossing "
-                        "scenario (binary: typed tags + raw array buffers; "
-                        "pickle: the legacy codec)")
     p.add_argument("--connections", type=int, default=4,
                    help="concurrent connections in the async and http "
                         "scenarios")

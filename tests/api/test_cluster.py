@@ -133,12 +133,10 @@ class TestCoordinatorParity:
         assert sum(entry["size"] for entry in stats["shards"]) == \
             len(trajectories)
 
-    @pytest.mark.parametrize("wire_format", ["binary", "pickle"])
-    def test_wire_format_parity_and_stats(self, single_service, trajectories,
-                                          wire_format):
-        pair = [ShardWorker(wire_format=wire_format) for _ in range(2)]
+    def test_parity_and_transport_stats(self, single_service, trajectories):
+        pair = [ShardWorker() for _ in range(2)]
         try:
-            with make_cluster(pair, wire_format=wire_format) as cluster:
+            with make_cluster(pair) as cluster:
                 cluster.add(trajectories)
                 local_d, local_i = single_service.knn(trajectories[:4], k=3)
                 got_d, got_i = cluster.knn(trajectories[:4], k=3)
@@ -148,11 +146,9 @@ class TestCoordinatorParity:
                 worker.close()
         assert local_d.tobytes() == got_d.tobytes()
         assert local_i.tobytes() == got_i.tobytes()
-        assert stats["wire_format"] == wire_format
         transport = stats["transport"]
         assert transport["frames_sent"] > 0
         assert transport["bytes_sent"] > 0
-        assert transport["wire_format"] == wire_format
 
 
 class TestFailover:

@@ -540,6 +540,25 @@ class TestMetrics:
         assert "no healthy replica" in reply["error"]
         assert headers.get("Retry-After") == "1"
 
+    def test_internal_error_logs_traceback_but_never_returns_it(
+            self, trajectories, caplog):
+        class BrokenService:
+            def knn(self, queries, k, exclude=None, dedupe_eps=None):
+                raise RuntimeError("index exploded at row 42")
+
+        with caplog.at_level("ERROR", logger="repro.api.gateway"):
+            with SimilarityGateway(BrokenService()) as gw:
+                status, _headers, raw = request(
+                    gw, "/knn",
+                    {"queries": as_lists(trajectories[:1]), "k": 2})
+        assert status == 500
+        assert json.loads(raw) == {"error": "internal error"}
+        assert b"Traceback" not in raw and b"exploded" not in raw
+        logged = "\n".join(record.getMessage() + (record.exc_text or "")
+                           for record in caplog.records)
+        assert "POST /knn failed" in logged
+        assert "Traceback" in logged and "index exploded" in logged
+
 
 # ----------------------------------------------------------------------
 # Lifecycle

@@ -146,40 +146,27 @@ class TestRemoteParity:
             np.testing.assert_array_equal(local_d, remote_d)
 
 
-class TestMixedVersionParity:
-    """A new-codec peer and a forced-pickle peer must agree bit-for-bit:
-    the version sniff in decode_payload negotiates per payload, so every
-    client/server format pairing serves identical kNN answers."""
+class TestWireParity:
+    """Arrays cross the binary codec bit-for-bit in both directions."""
 
-    @pytest.mark.parametrize("client_fmt,server_fmt", [
-        ("binary", "pickle"), ("pickle", "binary"),
-        ("binary", "binary"), ("pickle", "pickle"),
-    ])
-    def test_knn_bit_identical_across_formats(self, local_service,
-                                              trajectories, client_fmt,
-                                              server_fmt):
+    def test_knn_bit_identical(self, local_service, trajectories):
         queries = trajectories[:4]
         local_d, local_i = local_service.knn(queries, k=4, exclude=1)
-        with SimilarityServer(local_service,
-                              wire_format=server_fmt) as server:
-            with RemoteSimilarityClient(*server.address,
-                                        wire_format=client_fmt) as client:
+        with SimilarityServer(local_service) as server:
+            with RemoteSimilarityClient(*server.address) as client:
                 remote_d, remote_i = client.knn(queries, k=4, exclude=1)
         assert local_d.tobytes() == remote_d.tobytes()
         assert local_i.tobytes() == remote_i.tobytes()
 
     def test_transport_stats_visible_on_both_ends(self, local_service,
                                                   trajectories):
-        with SimilarityServer(local_service,
-                              wire_format="binary") as server:
-            with RemoteSimilarityClient(*server.address,
-                                        wire_format="binary") as client:
+        with SimilarityServer(local_service) as server:
+            with RemoteSimilarityClient(*server.address) as client:
                 client.knn(trajectories[0], k=2)
                 client_stats = client.transport_stats()
                 info = client.stats()
         assert client_stats["frames_sent"] >= 1
         assert client_stats["bytes_sent"] > 0
-        assert client_stats["wire_format"] == "binary"
         server_side = info["server_transport"]
         assert server_side["frames_recv"] >= 1
         assert server_side["bytes_recv"] > 0

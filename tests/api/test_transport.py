@@ -1,7 +1,7 @@
 """Tests for the framed-message transport layer: codecs, pipe/socket
 transports, the ServiceNode dispatcher, and the broadcast discipline."""
 
-import pickle
+import os
 import socket
 import threading
 
@@ -26,6 +26,7 @@ from repro.api.transport import (
     merge_transport_stats,
     request,
 )
+from repro.api.wire import WIRE_VERSION
 
 
 class TestFraming:
@@ -49,8 +50,8 @@ class TestFraming:
             frame_length(header)
 
     def test_garbage_payload_is_a_frame_error(self):
-        with pytest.raises(FrameError, match="unpickle"):
-            decode_payload(b"this is not a pickle")
+        with pytest.raises(FrameError, match="does not decode"):
+            decode_payload(b"this is not a wire payload")
 
 
 def socket_transport_pair():
@@ -122,7 +123,7 @@ class TestSocketFraming:
 class TestShortReads:
     """A TCP peer may deliver a frame in arbitrarily small pieces, or stop
     mid-frame. Partial reads must reassemble; truncation must surface as a
-    clean transport error — never a truncated unpickle."""
+    clean transport error — never a decode of a truncated payload."""
 
     def test_byte_dribble_reassembles_the_frame(self):
         left, right = socket.socketpair()
@@ -170,8 +171,8 @@ class TestShortReads:
         frame = encode_frame({"payload": np.arange(100)})
         left.sendall(frame[:-5])  # everything but the last 5 body bytes
         left.close()
-        # FrameError, not pickle.UnpicklingError: the truncated bytes must
-        # never reach the unpickler.
+        # FrameError from the framing layer: the truncated bytes must
+        # never reach the decoder.
         with pytest.raises(FrameError, match="mid-frame"):
             transport.recv()
         transport.close()
@@ -219,6 +220,28 @@ class TestServiceNode:
         caller.send("not a 2-tuple")
         status, detail = caller.recv()
         assert status == "error" and "malformed request" in detail
+        assert request(caller, "ping") == "pong"
+        caller.close()
+
+    def test_non_string_command_is_malformed(self):
+        caller, server = PipeTransport.pair()
+        run_node(server, {"ping": lambda _: "pong"})
+        caller.send((["unhashable"], None))
+        assert caller.poll(10), "the node died instead of replying"
+        status, detail = caller.recv()
+        assert status == "error" and "malformed request" in detail
+        assert request(caller, "ping") == "pong"
+        caller.close()
+
+    def test_unencodable_reply_becomes_an_error_reply(self):
+        caller, server = PipeTransport.pair()
+        run_node(server, {"odd": lambda _: {"a", "b"},
+                          "ping": lambda _: "pong"})
+        caller.send(("odd", None))
+        assert caller.poll(10), "the node died instead of replying"
+        status, detail = caller.recv()
+        assert status == "error" and "unencodable reply" in detail
+        # The loop survived and the channel is still in step.
         assert request(caller, "ping") == "pong"
         caller.close()
 
@@ -308,47 +331,40 @@ class TestBroadcast:
 
 class TestPipeUnpickling:
     def test_unpicklable_bytes_surface_as_frame_error(self):
-        # Drive the raw connection underneath to inject garbage bytes.
+        # Drive the raw connection underneath to inject a payload that
+        # opens with pickle's PROTO byte: refused, never deserialized.
         left, right = PipeTransport.pair()
         left._connection.send_bytes(b"\x80garbage that is not a pickle")
-        with pytest.raises((FrameError, TransportClosed)):
+        with pytest.raises(FrameError, match="version 0x80"):
             right.recv()
         left.close()
         right.close()
 
 
 class TestWireFormats:
-    """Per-payload version sniffing: a binary sender and a pickle sender
-    interoperate on the same channel with no handshake."""
+    """Both ends of a pipe speak the one binary codec: every payload that
+    crosses it, in either direction, opens with the wire version byte."""
 
     @pytest.mark.parametrize("sender_fmt,receiver_fmt", [
-        ("binary", "pickle"), ("pickle", "binary"),
-        ("binary", "binary"), ("pickle", "pickle"),
+        ("binary", "binary"),
     ])
     def test_mixed_format_pipe_round_trip(self, sender_fmt, receiver_fmt):
         left, right = PipeTransport.pair()
-        left._wire_format = sender_fmt
-        right._wire_format = receiver_fmt
         payload = np.random.default_rng(7).normal(size=(5, 2))
-        left.send(("echo", payload))
+        request_bytes = encode_payload(("echo", payload))
+        assert request_bytes[0] == WIRE_VERSION
+        left.send_encoded(request_bytes)
         command, received = right.recv()
         assert command == "echo"
         assert received.tobytes() == payload.tobytes()
         right.send(("reply", received * 2))
         _, back = left.recv()
         assert back.tobytes() == (payload * 2).tobytes()
+        assert right.bytes_recv == len(request_bytes)
+        assert left.bytes_recv == right.bytes_sent == len(
+            encode_payload(("reply", payload * 2)))
         left.close()
         right.close()
-
-    def test_unknown_wire_format_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown wire_format"):
-            PipeTransport.pair(wire_format="capnproto")
-
-    def test_binary_beats_pickle_on_array_bytes(self):
-        message = ("knn", {"queries": np.zeros((64, 16)), "k": 5})
-        binary = encode_payload(message, "binary")
-        legacy = encode_payload(message, "pickle")
-        assert len(binary) < len(legacy)
 
 
 class TestTransportStats:
@@ -378,25 +394,15 @@ class TestTransportStats:
         left.close()
         right.close()
 
-    def test_merge_sums_counters_and_keeps_uniform_format(self):
+    def test_merge_sums_counters(self):
         merged = merge_transport_stats([
-            {"wire_format": "binary", "bytes_sent": 10, "frames_sent": 1,
+            {"bytes_sent": 10, "frames_sent": 1,
              "bytes_recv": 5, "frames_recv": 1, "shm_hits": 2},
-            {"wire_format": "binary", "bytes_sent": 20, "frames_sent": 2,
+            {"bytes_sent": 20, "frames_sent": 2,
              "bytes_recv": 15, "frames_recv": 3, "shm_hits": 0},
         ])
-        assert merged["bytes_sent"] == 30
-        assert merged["frames_sent"] == 3
-        assert merged["shm_hits"] == 2
-        assert merged["wire_format"] == "binary"
-
-    def test_merge_drops_format_when_mixed(self):
-        merged = merge_transport_stats([
-            {"wire_format": "binary", "bytes_sent": 1},
-            {"wire_format": "pickle", "bytes_sent": 2},
-        ])
-        assert merged["bytes_sent"] == 3
-        assert "wire_format" not in merged
+        assert merged == {"bytes_sent": 30, "frames_sent": 3,
+                          "bytes_recv": 20, "frames_recv": 4, "shm_hits": 2}
 
 
 class TestBroadcastEncoded:
@@ -452,10 +458,25 @@ class TestPipeSharedMemory:
         left.close()
         right.close()
 
-    def test_pickle_format_pair_never_builds_a_pool(self):
-        left, right = PipeTransport.pair(wire_format="pickle")
-        left.send(("x", np.zeros((64, 64))))
-        right.recv()
-        assert left.stats()["shm_hits"] == 0
-        left.close()
-        right.close()
+    def test_socket_refuses_a_segment_name(self):
+        # A real segment a pipe peer could legitimately name: over a
+        # socket the same frame must be rejected, not mapped.
+        sender, receiver = PipeTransport.pair(shm_threshold=1)
+        array = np.arange(64, dtype=np.float64)
+        payload = encode_payload(("x", array), sender._shm_pool())
+        name = sender._pool._segments[0].name
+        assert os.path.exists(f"/dev/shm/{name}")
+        left, right = socket_transport_pair()
+        try:
+            left.send_encoded(payload)
+            with pytest.raises(FrameError, match="not accepted"):
+                right.recv()
+            # The pipe end, inside the process tree, still maps it.
+            sender.send_encoded(payload)
+            _, received = receiver.recv()
+            assert received.tobytes() == array.tobytes()
+            del received
+        finally:
+            for transport in (left, right, sender, receiver):
+                transport.close()
+        assert not os.path.exists(f"/dev/shm/{name}")

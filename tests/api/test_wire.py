@@ -1,7 +1,7 @@
 """Tests for the typed binary wire codec: round-trips over the full tag
-vocabulary, malformed-payload rejection (never a truncated
-``np.frombuffer``), the shared-memory pool lifecycle, and the version
-sniff that lets binary and pickle peers interoperate."""
+vocabulary, rejection of values with no tag, malformed-payload rejection
+(never a truncated ``np.frombuffer``), and the shared-memory pool
+lifecycle."""
 
 import os
 
@@ -114,22 +114,24 @@ class TestArrayRoundTrips:
         assert type(result[2]["k"]) is tuple
 
 
-class TestFallback:
-    def test_sets_travel_via_pickle_tag(self):
-        payload = wire.encode({"tags": {"a", "b"}})
-        assert wire._TAG_PICKLE in payload
-        assert round_trip({"tags": {"a", "b"}}) == {"tags": {"a", "b"}}
+class TestUnencodable:
+    """Values with no tag are refused at encode time, never smuggled."""
 
-    def test_object_dtype_array_falls_back(self):
-        array = np.array([{"odd": 1}, None], dtype=object)
-        result = round_trip(array)
-        assert result.dtype == object
-        assert result[0] == {"odd": 1} and result[1] is None
+    def test_sets_are_rejected(self):
+        with pytest.raises(WireError, match="set"):
+            wire.encode({"tags": {"a", "b"}})
 
-    def test_structured_dtype_falls_back(self):
-        array = np.zeros(3, dtype=[("x", "f8"), ("y", "i4")])
-        result = round_trip(array)
-        assert result.dtype == array.dtype
+    def test_object_dtype_array_is_rejected(self):
+        with pytest.raises(WireError, match="dtype object"):
+            wire.encode(np.array([{"odd": 1}, None], dtype=object))
+
+    def test_structured_dtype_is_rejected(self):
+        with pytest.raises(WireError, match="dtype"):
+            wire.encode(np.zeros(3, dtype=[("x", "f8"), ("y", "i4")]))
+
+    def test_arbitrary_objects_are_rejected(self):
+        with pytest.raises(WireError, match="object"):
+            wire.encode(("ok", object()))
 
 
 class TestMalformedPayloads:
@@ -180,43 +182,35 @@ class TestMalformedPayloads:
         with pytest.raises(WireError, match="rank"):
             wire.decode(bytes(payload))
 
+    def test_nesting_up_to_the_cap_decodes(self):
+        message = None
+        for _ in range(wire.MAX_DEPTH):
+            message = [message]
+        assert wire.decode(wire.encode(message)) == message
+
 
 class TestVersionSniffing:
-    """decode_payload negotiates codec per-payload off the first byte."""
+    """decode_payload accepts only payloads that open with WIRE_VERSION."""
 
     def test_binary_payload_decodes(self):
         message = {"x": np.arange(3)}
-        result = decode_payload(encode_payload(message, "binary"))
+        result = decode_payload(encode_payload(message))
         np.testing.assert_array_equal(result["x"], message["x"])
 
-    def test_pickle_payload_decodes(self):
-        message = {"x": np.arange(3)}
-        payload = encode_payload(message, "pickle")
-        assert payload[0] == 0x80  # pickle PROTO opcode, not WIRE_VERSION
-        result = decode_payload(payload)
-        np.testing.assert_array_equal(result["x"], message["x"])
-
-    def test_formats_agree_bit_for_bit(self):
-        message = ("knn", {"queries": np.random.default_rng(1).normal(
-            size=(4, 3)), "k": 2})
-        binary = decode_payload(encode_payload(message, "binary"))
-        legacy = decode_payload(encode_payload(message, "pickle"))
-        assert binary[0] == legacy[0]
-        assert binary[1]["queries"].tobytes() == \
-            legacy[1]["queries"].tobytes()
+    def test_pickle_payload_is_a_frame_error(self):
+        # 0x80 is pickle's PROTO opcode: a legacy peer's frame is refused
+        # by its first byte, never handed to a deserializer.
+        with pytest.raises(FrameError, match="version 0x80"):
+            decode_payload(b"\x80\x05\x95\x00\x00\x00\x00\x00\x00\x00\x00N.")
 
     def test_empty_payload_is_a_frame_error(self):
         with pytest.raises(FrameError, match="empty"):
             decode_payload(b"")
 
     def test_malformed_binary_payload_is_a_frame_error(self):
-        payload = encode_payload(np.arange(50), "binary")
+        payload = encode_payload(np.arange(50))
         with pytest.raises(FrameError, match="does not decode"):
             decode_payload(payload[:-5])
-
-    def test_unknown_wire_format_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown wire_format"):
-            encode_payload({}, "msgpack")
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
@@ -234,7 +228,7 @@ class TestShmPool:
             # The big buffer is out-of-band: the payload holds a name,
             # not the 4 KiB of data.
             assert len(payload) < array.nbytes
-            result = wire.decode(payload)
+            result = wire.decode(payload, allow_shm=True)
             np.testing.assert_array_equal(result["big"], array)
             np.testing.assert_array_equal(result["small"], np.arange(3))
             del result
@@ -258,7 +252,7 @@ class TestShmPool:
         names = [seg.name for seg in pool._segments]
         assert names and all(
             os.path.exists(f"/dev/shm/{name}") for name in names)
-        result = wire.decode(payload)
+        result = wire.decode(payload, allow_shm=True)
         np.testing.assert_array_equal(result, array)
         del result
         pool.release()
@@ -269,7 +263,7 @@ class TestShmPool:
         pool = ShmPool(threshold=1)
         array = np.random.default_rng(3).normal(size=(128,))
         payload = wire.encode(array, pool)
-        result = wire.decode(payload)
+        result = wire.decode(payload, allow_shm=True)
         pool.release()  # segment unlinked while the view is alive
         np.testing.assert_array_equal(result, array)
 
@@ -278,7 +272,16 @@ class TestShmPool:
         payload = wire.encode(np.arange(16, dtype=np.float64), pool)
         pool.release()  # unlink before the receiver attaches
         with pytest.raises(WireError, match="unavailable"):
-            wire.decode(payload)
+            wire.decode(payload, allow_shm=True)
+
+    def test_segment_reference_needs_allow_shm(self):
+        pool = ShmPool(threshold=1)
+        try:
+            payload = wire.encode(np.arange(16, dtype=np.float64), pool)
+            with pytest.raises(WireError, match="not accepted"):
+                wire.decode(payload)
+        finally:
+            pool.release()
 
     def test_segment_names_carry_the_prefix(self):
         pool = ShmPool(threshold=1)

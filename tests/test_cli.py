@@ -295,19 +295,19 @@ class TestServingCli:
         assert main(["serve-bench", "--data", dataset_path,
                      "--backend", "hausdorff", "--queries", "4", "--k", "2",
                      "--repeats", "1", "--scenarios", "large_db",
-                     "--db-size", "60", "--wire-format", "binary",
+                     "--db-size", "60",
                      "--output", str(out_path)]) == 0
         printed = capsys.readouterr().out
         # The effective config is printed so recorded numbers can never
         # drift silently from the parameters that produced them.
         assert "config:" in printed
-        assert "wire_format=binary" in printed
+        assert "backend=hausdorff" in printed
         assert "db_size=60" in printed
         payload = json.loads(out_path.read_text())
         record = payload["scenarios"]["large_db"]
         assert record["db_size"] == 60
         assert "embedding_dim" in record  # None for distance backends
-        assert record["config"]["wire_format"] == "binary"
+        assert record["config"]["backend"] == "hausdorff"
         rows = record["results"]
         assert [r["workers"] for r in rows] == [1, 2]
         for row in rows:
@@ -315,7 +315,6 @@ class TestServingCli:
             assert row["latency_ms"]["p50"] > 0
         # The sharded row carries the merged transport counters.
         assert rows[1]["transport"]["frames_sent"] > 0
-        assert rows[1]["transport"]["wire_format"] == "binary"
 
     def test_serve_and_remote_knn(self, dataset_path, tmp_path, capsys):
         import threading
